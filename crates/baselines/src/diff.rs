@@ -41,8 +41,8 @@
 use crate::disasm8080::disassemble_one;
 use crate::i8080::{Cpu8080, Flags8080};
 use crate::z80::{z80_tstates, CpuZ80};
-use printed_netlist::snapshot::fnv1a;
 use printed_netlist::Snapshot;
+use printed_obs::fnv::fnv1a;
 use std::collections::VecDeque;
 use std::fmt;
 use std::path::{Path, PathBuf};

@@ -21,11 +21,11 @@ use crate::isa::Flags;
 #[cfg(test)]
 use crate::isa::Instruction;
 use crate::specific::CoreSpec;
-use printed_netlist::snapshot::fnv1a;
 use printed_netlist::{
     lint, words, Engine, NetId, Netlist, NetlistBuilder, NetlistError, Simulator, Snapshot,
     SnapshotError, SnapshotReader, SnapshotWriter,
 };
+use printed_obs::fnv::fnv1a;
 use printed_pdk::Technology;
 use serde::{Deserialize, Serialize};
 

@@ -13,9 +13,9 @@
 use crate::config::CoreConfig;
 use crate::isa::{alu_reference, AluOp, Flags, Instruction, Operand};
 use printed_memory::{MemoryError, Sram};
-use printed_netlist::snapshot::fnv1a;
 use printed_netlist::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use printed_obs as obs;
+use printed_obs::fnv::fnv1a;
 use printed_pdk::Technology;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;

@@ -32,8 +32,7 @@ use crate::kernels::KernelProgram;
 use crate::specific::CoreSpec;
 use printed_netlist::fault::{LaneOutcome, Observation, WarmContexts, Workload};
 use printed_netlist::{
-    BitSimulator, NetlistError, Simulator, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
-    TMR_ERROR_PORT,
+    BitSimulator, NetlistError, Simulator, Snapshot, SnapshotReader, SnapshotWriter, TMR_ERROR_PORT,
 };
 
 /// A fixed TP-ISA program run as a fault-campaign workload on a
@@ -145,31 +144,7 @@ impl ProgramWorkload {
 
 impl Workload for ProgramWorkload {
     fn run(&self, sim: Simulator<'_>, cycle_budget: u64) -> Result<Observation, NetlistError> {
-        let has_detect = sim.netlist().output_ports().contains_key(TMR_ERROR_PORT);
-        let mut machine = GateLevelMachine::with_simulator(
-            sim,
-            self.spec.clone(),
-            self.program.clone(),
-            self.dmem_words,
-        );
-        for &(addr, value) in &self.inputs {
-            machine.write_dmem(addr, value);
-        }
-        let mut cycles = 0;
-        let mut detected = false;
-        while !machine.is_halted() && cycles < cycle_budget {
-            machine.step()?;
-            cycles += 1;
-            if has_detect && machine.simulator().read_output(TMR_ERROR_PORT)? != 0 {
-                detected = true;
-            }
-        }
-        // The architectural signature: all of data memory plus PC and
-        // flags. Any divergence from the golden run is data corruption.
-        let mut signature = machine.dmem().to_vec();
-        signature.push(machine.pc());
-        signature.push(machine.flags().bits() as u64);
-        Ok(Observation { signature, completed: machine.is_halted(), cycles, detected })
+        finish(self.boot(sim), 0, cycle_budget)
     }
 
     fn warm_contexts(
@@ -180,15 +155,7 @@ impl Workload for ProgramWorkload {
         let mut wanted: Vec<u64> = cycles.to_vec();
         wanted.sort_unstable();
         wanted.dedup();
-        let mut machine = GateLevelMachine::with_simulator(
-            sim,
-            self.spec.clone(),
-            self.program.clone(),
-            self.dmem_words,
-        );
-        for &(addr, value) in &self.inputs {
-            machine.write_dmem(addr, value);
-        }
+        let mut machine = self.boot(sim);
         let mut contexts = WarmContexts::new();
         let mut done = 0u64;
         for &target in &wanted {
@@ -219,54 +186,24 @@ impl Workload for ProgramWorkload {
         context: &[u8],
         cycle_budget: u64,
     ) -> Result<Observation, NetlistError> {
-        let mut r = SnapshotReader::new(context);
-        let parsed = (|| -> Result<(u64, Vec<u8>), SnapshotError> {
-            let done = r.u64()?;
-            let snap = r.bytes()?;
-            r.finish()?;
-            Ok((done, snap))
-        })();
-        let Ok((done, snap)) = parsed else {
+        let Some(snap) = warm_snapshot(context, cycle, cycle_budget) else {
             return self.run(sim, cycle_budget);
         };
-        if done != cycle || cycle >= cycle_budget {
-            return self.run(sim, cycle_budget);
-        }
-        let has_detect = sim.netlist().output_ports().contains_key(TMR_ERROR_PORT);
-        let mut machine = GateLevelMachine::with_simulator(
-            sim,
-            self.spec.clone(),
-            self.program.clone(),
-            self.dmem_words,
-        );
-        for &(addr, value) in &self.inputs {
-            machine.write_dmem(addr, value);
-        }
+        let mut machine = self.boot(sim);
         // The snapshot carries the golden run's (unarmed) cycle limit;
         // re-arm whatever watchdog this clone arrived with so a warm run
         // trips at exactly the same absolute cycle a cold run would. The
         // injected fault map is untouched by restore.
         let limit = machine.cycle_limit();
-        let mut cycles = if machine.restore_binary(&snap).is_ok() {
+        let cycles = if machine.restore_binary(&snap).is_ok() {
             machine.set_cycle_limit(limit);
-            done
+            cycle
         } else {
             // The restore is transactional, so the machine is still the
-            // freshly booted one — the loop below IS the cold run.
+            // freshly booted one — finishing from 0 IS the cold run.
             0
         };
-        let mut detected = false;
-        while !machine.is_halted() && cycles < cycle_budget {
-            machine.step()?;
-            cycles += 1;
-            if has_detect && machine.simulator().read_output(TMR_ERROR_PORT)? != 0 {
-                detected = true;
-            }
-        }
-        let mut signature = machine.dmem().to_vec();
-        signature.push(machine.pc());
-        signature.push(machine.flags().bits() as u64);
-        Ok(Observation { signature, completed: machine.is_halted(), cycles, detected })
+        finish(machine, cycles, cycle_budget)
     }
 
     fn run_bitsliced(
@@ -290,32 +227,14 @@ impl Workload for ProgramWorkload {
         context: &[u8],
         cycle_budget: u64,
     ) -> Option<Result<Vec<LaneOutcome>, NetlistError>> {
-        let mut r = SnapshotReader::new(context);
-        let parsed = (|| -> Result<(u64, Vec<u8>), SnapshotError> {
-            let done = r.u64()?;
-            let snap = r.bytes()?;
-            r.finish()?;
-            Ok((done, snap))
-        })();
-        let Ok((done, snap)) = parsed else {
+        let Some(snap) = warm_snapshot(context, cycle, cycle_budget) else {
             return self.run_bitsliced(sim, cycle_budget);
         };
-        if done != cycle || cycle >= cycle_budget {
-            return self.run_bitsliced(sim, cycle_budget);
-        }
         // Replay the context into a scalar golden machine, then
         // broadcast the whole co-simulated state into every lane — the
         // word-wide analogue of the scalar warm path, with the same
         // watchdog re-arm idiom.
-        let mut golden = GateLevelMachine::with_simulator(
-            pristine.clone(),
-            self.spec.clone(),
-            self.program.clone(),
-            self.dmem_words,
-        );
-        for &(addr, value) in &self.inputs {
-            golden.write_dmem(addr, value);
-        }
+        let mut golden = self.boot(pristine.clone());
         let limit = golden.cycle_limit();
         if golden.restore_binary(&snap).is_err() {
             return self.run_bitsliced(sim, cycle_budget);
@@ -324,8 +243,59 @@ impl Workload for ProgramWorkload {
         let mut machine =
             BitMachine::new(sim, self.spec.clone(), self.program.clone(), self.dmem_words);
         machine.broadcast_from(&golden);
-        Some(machine.observe(done, cycle_budget))
+        Some(machine.observe(cycle, cycle_budget))
     }
+}
+
+impl ProgramWorkload {
+    /// The program booted on a scalar gate-level machine over `sim`,
+    /// with the data-memory inputs loaded.
+    fn boot<'a>(&self, sim: Simulator<'a>) -> GateLevelMachine<'a> {
+        let mut machine = GateLevelMachine::with_simulator(
+            sim,
+            self.spec.clone(),
+            self.program.clone(),
+            self.dmem_words,
+        );
+        for &(addr, value) in &self.inputs {
+            machine.write_dmem(addr, value);
+        }
+        machine
+    }
+}
+
+/// Steps `machine` from cycle `cycles` until it halts or exhausts the
+/// budget, then signs the architectural state: all of data memory plus
+/// PC and flags. Any divergence from the golden run is data corruption.
+fn finish(
+    mut machine: GateLevelMachine<'_>,
+    mut cycles: u64,
+    cycle_budget: u64,
+) -> Result<Observation, NetlistError> {
+    let has_detect = machine.simulator().netlist().output_ports().contains_key(TMR_ERROR_PORT);
+    let mut detected = false;
+    while !machine.is_halted() && cycles < cycle_budget {
+        machine.step()?;
+        cycles += 1;
+        if has_detect && machine.simulator().read_output(TMR_ERROR_PORT)? != 0 {
+            detected = true;
+        }
+    }
+    let mut signature = machine.dmem().to_vec();
+    signature.push(machine.pc());
+    signature.push(machine.flags().bits() as u64);
+    Ok(Observation { signature, completed: machine.is_halted(), cycles, detected })
+}
+
+/// The machine snapshot of a warm context captured at `cycle`, or
+/// `None` when the context is malformed, belongs to another cycle, or
+/// lies past the budget: the caller runs cold.
+fn warm_snapshot(context: &[u8], cycle: u64, cycle_budget: u64) -> Option<Vec<u8>> {
+    let mut r = SnapshotReader::new(context);
+    let done = r.u64().ok()?;
+    let snap = r.bytes().ok()?;
+    r.finish().ok()?;
+    (done == cycle && cycle < cycle_budget).then_some(snap)
 }
 
 #[cfg(test)]

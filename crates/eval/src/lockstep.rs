@@ -35,9 +35,9 @@ use printed_core::kernels::{self, Kernel, KernelProgram};
 use printed_core::{
     generate_standard, CoreConfig, CoreSpec, GateLevelMachine, Instruction, Machine,
 };
-use printed_netlist::snapshot::fnv1a;
 use printed_netlist::Netlist;
 use printed_obs as obs;
+use printed_obs::fnv::fnv1a;
 use std::path::{Path, PathBuf};
 
 /// Digest of a data memory image (shared by both sides so the compare

@@ -30,8 +30,8 @@
 
 use crate::perf_report::{self, ReportError};
 use printed_obs as obs;
+use std::convert::Infallible;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -143,7 +143,7 @@ impl Pipeline {
     /// failure). The closure runs under the stage's observability span
     /// exactly as [`crate::perf_report::stage`] always did.
     pub fn run_stage<T>(&mut self, name: &str, mut f: impl FnMut() -> T) -> Option<T> {
-        self.run_stage_result(name, move || Ok::<T, Unreachable>(f()))
+        self.run_stage_result(name, move || Ok::<T, Infallible>(f()))
     }
 
     /// [`Pipeline::run_stage`] for fallible stages: a typed `Err` is
@@ -167,36 +167,24 @@ impl Pipeline {
         }
         let forced = self.fail_stage.as_deref() == Some(name);
         let started = Instant::now();
-        let mut last_error = String::new();
-        let mut value = None;
-        let mut attempts = 0u32;
-        while attempts <= self.options.max_retries {
-            attempts += 1;
-            let run = catch_unwind(AssertUnwindSafe(|| {
+        let retries = &mut self.retries;
+        let tried = obs::retry::retry_panics(
+            self.options.max_retries,
+            |_| *retries += 1,
+            |_| {
                 perf_report::stage(name, || {
                     if forced {
                         panic!("forced failure injected via PRINTED_FAIL_STAGE={name}");
                     }
                     f()
                 })
-            }));
-            match run {
-                Ok(Ok(v)) => {
-                    value = Some(v);
-                    break;
-                }
-                Ok(Err(e)) => {
-                    last_error = e.to_string();
-                    break;
-                }
-                Err(payload) => {
-                    last_error = panic_message(payload.as_ref());
-                    if attempts <= self.options.max_retries {
-                        self.retries += 1;
-                    }
-                }
-            }
-        }
+            },
+        );
+        let (value, attempts, last_error) = match tried {
+            Ok((Ok(v), used)) => (Some(v), used + 1, String::new()),
+            Ok((Err(e), used)) => (None, used + 1, e.to_string()),
+            Err(panicked) => (None, panicked.attempts, panicked.message),
+        };
         let wall = started.elapsed();
         let wall_ms = wall.as_millis() as u64;
         let over_deadline = self.options.stage_deadline.is_some_and(|d| wall > d);
@@ -349,26 +337,6 @@ pub fn render_manifest(
     ));
     out.push('}');
     out
-}
-
-/// An error type for infallible stages; never constructed.
-enum Unreachable {}
-
-impl fmt::Display for Unreachable {
-    fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {}
-    }
-}
-
-/// Extracts a printable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 #[cfg(test)]

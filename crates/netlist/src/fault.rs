@@ -27,7 +27,9 @@
 //! each classification lands in a result slot preassigned by fault index.
 //! The merged [`CampaignResult`] — runs, statistics, and CSV bytes — is
 //! therefore identical for every thread count by construction; claiming
-//! order only affects wall-clock time.
+//! order only affects wall-clock time. There is one campaign executor,
+//! in [`crate::resilience`]: [`run_campaign`] is that executor with
+//! checkpointing, the watchdog, and cancellation left off.
 //!
 //! ```
 //! use printed_netlist::fault::{
@@ -58,16 +60,14 @@
 use crate::bitsim::BitSimulator;
 use crate::builder::TMR_ERROR_PORT;
 use crate::ir::{GateId, Netlist, NetlistError};
+use crate::resilience::{execute_campaign, ResilienceConfig, SupervisedRun};
 use crate::sim::Simulator;
-use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
-use printed_obs as obs;
+use crate::snapshot::{Snapshot, SnapshotReader, SnapshotWriter};
 use printed_pdk::{yield_model, CellKind, Technology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The kind of a single injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -322,33 +322,9 @@ pub struct PatternWorkload {
 }
 
 impl Workload for PatternWorkload {
-    fn run(&self, mut sim: Simulator<'_>, cycle_budget: u64) -> Result<Observation, NetlistError> {
-        let in_ports: Vec<String> = sim.netlist().input_ports().keys().cloned().collect();
-        let out_ports: Vec<String> = sim
-            .netlist()
-            .output_ports()
-            .keys()
-            .filter(|name| name.as_str() != TMR_ERROR_PORT)
-            .cloned()
-            .collect();
-        let has_detect = sim.netlist().output_ports().contains_key(TMR_ERROR_PORT);
+    fn run(&self, sim: Simulator<'_>, cycle_budget: u64) -> Result<Observation, NetlistError> {
         let cycles = self.cycles.min(cycle_budget);
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut signature = Vec::new();
-        let mut detected = false;
-        for _ in 0..cycles {
-            for port in &in_ports {
-                sim.set_input(port, rng.gen::<u64>())?;
-            }
-            sim.step()?;
-            for port in &out_ports {
-                signature.push(sim.read_output(port)?);
-            }
-            if has_detect && sim.read_output(TMR_ERROR_PORT)? != 0 {
-                detected = true;
-            }
-        }
-        Ok(Observation { signature, completed: true, cycles, detected })
+        self.scalar_finish(sim, 0, cycles, Vec::new(), StdRng::seed_from_u64(self.seed))
     }
 
     fn warm_contexts(
@@ -356,14 +332,7 @@ impl Workload for PatternWorkload {
         mut sim: Simulator<'_>,
         cycles: &[u64],
     ) -> Result<Option<WarmContexts>, NetlistError> {
-        let in_ports: Vec<String> = sim.netlist().input_ports().keys().cloned().collect();
-        let out_ports: Vec<String> = sim
-            .netlist()
-            .output_ports()
-            .keys()
-            .filter(|name| name.as_str() != TMR_ERROR_PORT)
-            .cloned()
-            .collect();
+        let (in_ports, out_ports) = Self::ports(sim.netlist());
         let mut wanted: Vec<u64> = cycles.to_vec();
         wanted.sort_unstable();
         wanted.dedup();
@@ -406,20 +375,10 @@ impl Workload for PatternWorkload {
         cycle_budget: u64,
     ) -> Result<Observation, NetlistError> {
         let cycles = self.cycles.min(cycle_budget);
-        let mut r = SnapshotReader::new(context);
-        let parsed = (|| -> Result<(u64, Vec<u64>, Vec<u8>), SnapshotError> {
-            let done = r.u64()?;
-            let prefix = r.u64s()?;
-            let snap = r.bytes()?;
-            r.finish()?;
-            Ok((done, prefix, snap))
-        })();
-        let Ok((done, mut signature, snap)) = parsed else {
+        let in_ports = sim.netlist().input_ports().len();
+        let Some((prefix, snap, rng)) = self.resume(context, cycle, cycles, in_ports) else {
             return self.run(sim, cycle_budget);
         };
-        if done != cycle || cycle >= cycles {
-            return self.run(sim, cycle_budget);
-        }
         // The snapshot carries the golden run's (unarmed) cycle limit;
         // re-arm whatever watchdog this clone arrived with so a warm run
         // trips at exactly the same absolute cycle a cold run would.
@@ -428,35 +387,7 @@ impl Workload for PatternWorkload {
             return self.run(sim, cycle_budget);
         }
         sim.set_cycle_limit(limit);
-        let in_ports: Vec<String> = sim.netlist().input_ports().keys().cloned().collect();
-        let out_ports: Vec<String> = sim
-            .netlist()
-            .output_ports()
-            .keys()
-            .filter(|name| name.as_str() != TMR_ERROR_PORT)
-            .cloned()
-            .collect();
-        let has_detect = sim.netlist().output_ports().contains_key(TMR_ERROR_PORT);
-        // Replay the RNG to the injection cycle: the prologue consumed
-        // one u64 per input port per cycle.
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        for _ in 0..cycle.saturating_mul(in_ports.len() as u64) {
-            let _: u64 = rng.gen();
-        }
-        let mut detected = false;
-        for _ in cycle..cycles {
-            for port in &in_ports {
-                sim.set_input(port, rng.gen::<u64>())?;
-            }
-            sim.step()?;
-            for port in &out_ports {
-                signature.push(sim.read_output(port)?);
-            }
-            if has_detect && sim.read_output(TMR_ERROR_PORT)? != 0 {
-                detected = true;
-            }
-        }
-        Ok(Observation { signature, completed: true, cycles, detected })
+        self.scalar_finish(sim, cycle, cycles, prefix, rng)
     }
 
     fn run_bitsliced(
@@ -478,20 +409,10 @@ impl Workload for PatternWorkload {
         cycle_budget: u64,
     ) -> Option<Result<Vec<LaneOutcome>, NetlistError>> {
         let cycles = self.cycles.min(cycle_budget);
-        let mut r = SnapshotReader::new(context);
-        let parsed = (|| -> Result<(u64, Vec<u64>, Vec<u8>), SnapshotError> {
-            let done = r.u64()?;
-            let prefix = r.u64s()?;
-            let snap = r.bytes()?;
-            r.finish()?;
-            Ok((done, prefix, snap))
-        })();
-        let Ok((done, prefix, snap)) = parsed else {
+        let in_ports = sim.netlist().input_ports().len();
+        let Some((prefix, snap, rng)) = self.resume(context, cycle, cycles, in_ports) else {
             return self.run_bitsliced(sim, cycle_budget);
         };
-        if done != cycle || cycle >= cycles {
-            return self.run_bitsliced(sim, cycle_budget);
-        }
         // Restore the golden snapshot into a scalar clone, then
         // broadcast its state into every lane. The broadcast keeps the
         // word's own armed watchdog, mirroring the scalar re-arm idiom.
@@ -500,18 +421,82 @@ impl Workload for PatternWorkload {
             return self.run_bitsliced(sim, cycle_budget);
         }
         sim.broadcast_from(&scalar);
-        // Replay the RNG to the injection cycle: the prologue consumed
-        // one u64 per input port per cycle.
-        let in_ports = sim.netlist().input_ports().len() as u64;
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        for _ in 0..cycle.saturating_mul(in_ports) {
-            let _: u64 = rng.gen();
-        }
         Some(self.bit_finish(sim, cycle, cycles, prefix, rng))
     }
 }
 
 impl PatternWorkload {
+    /// The driven input ports and the signed output ports (every output
+    /// but the TMR detect port).
+    fn ports(netlist: &Netlist) -> (Vec<String>, Vec<String>) {
+        let inputs = netlist.input_ports().keys().cloned().collect();
+        let outputs = netlist
+            .output_ports()
+            .keys()
+            .filter(|name| name.as_str() != TMR_ERROR_PORT)
+            .cloned()
+            .collect();
+        (inputs, outputs)
+    }
+
+    /// Decodes a warm context captured at `cycle` into the golden
+    /// signature prefix, the simulator snapshot, and the input RNG
+    /// advanced to the injection cycle. `None` when the context is
+    /// malformed, belongs to another cycle, or lies past the stimulus:
+    /// the caller runs cold.
+    fn resume(
+        &self,
+        context: &[u8],
+        cycle: u64,
+        cycles: u64,
+        in_ports: usize,
+    ) -> Option<(Vec<u64>, Vec<u8>, StdRng)> {
+        let mut r = SnapshotReader::new(context);
+        let done = r.u64().ok()?;
+        let prefix = r.u64s().ok()?;
+        let snap = r.bytes().ok()?;
+        r.finish().ok()?;
+        if done != cycle || cycle >= cycles {
+            return None;
+        }
+        // Replay the RNG to the injection cycle: the prologue consumed
+        // one u64 per input port per cycle.
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        for _ in 0..cycle.saturating_mul(in_ports as u64) {
+            let _: u64 = rng.gen();
+        }
+        Some((prefix, snap, rng))
+    }
+
+    /// Scalar stimulus loop shared by the cold and warm paths: drives
+    /// cycles `start..cycles` with the (already advanced) RNG stream,
+    /// extending the golden `signature` prefix.
+    fn scalar_finish(
+        &self,
+        mut sim: Simulator<'_>,
+        start: u64,
+        cycles: u64,
+        mut signature: Vec<u64>,
+        mut rng: StdRng,
+    ) -> Result<Observation, NetlistError> {
+        let (in_ports, out_ports) = Self::ports(sim.netlist());
+        let has_detect = sim.netlist().output_ports().contains_key(TMR_ERROR_PORT);
+        let mut detected = false;
+        for _ in start..cycles {
+            for port in &in_ports {
+                sim.set_input(port, rng.gen::<u64>())?;
+            }
+            sim.step()?;
+            for port in &out_ports {
+                signature.push(sim.read_output(port)?);
+            }
+            if has_detect && sim.read_output(TMR_ERROR_PORT)? != 0 {
+                detected = true;
+            }
+        }
+        Ok(Observation { signature, completed: true, cycles, detected })
+    }
+
     /// Word-wide stimulus loop shared by the cold and warm bitsliced
     /// paths: drives cycles `start..cycles` with the (already advanced)
     /// RNG stream, extending the shared golden `prefix` into a per-lane
@@ -526,13 +511,7 @@ impl PatternWorkload {
     ) -> Result<Vec<LaneOutcome>, NetlistError> {
         let lanes = sim.lane_count();
         let netlist = sim.netlist();
-        let in_ports: Vec<String> = netlist.input_ports().keys().cloned().collect();
-        let out_ports: Vec<String> = netlist
-            .output_ports()
-            .keys()
-            .filter(|name| name.as_str() != TMR_ERROR_PORT)
-            .cloned()
-            .collect();
+        let (in_ports, out_ports) = Self::ports(netlist);
         let detect_nets: Option<Vec<_>> = netlist.output(TMR_ERROR_PORT).ok().map(<[_]>::to_vec);
         let mut signatures: Vec<Vec<u64>> = vec![prefix; lanes];
         let mut detected = 0u64;
@@ -597,10 +576,9 @@ pub enum Outcome {
     /// The run completed but produced a different signature.
     SilentDataCorruption,
     /// The run itself could not be executed: the worker panicked on this
-    /// fault repeatedly and the supervised campaign runner
+    /// fault on every retry and the campaign executor
     /// ([`crate::resilience`]) degraded the slot to a recorded failure
-    /// instead of aborting the whole campaign. Plain [`run_campaign`]
-    /// never produces this.
+    /// instead of aborting the whole campaign.
     Failed,
 }
 
@@ -647,9 +625,9 @@ pub struct OutcomeCounts {
     pub hang: usize,
     /// Runs that completed with corrupted output.
     pub sdc: usize,
-    /// Runs that could not be executed at all (supervised campaigns
-    /// only — see [`Outcome::Failed`]). Counted in [`OutcomeCounts::total`]
-    /// but never toward coverage: an unexecuted run proves nothing.
+    /// Runs that could not be executed at all (see [`Outcome::Failed`]).
+    /// Counted in [`OutcomeCounts::total`] but never toward coverage: an
+    /// unexecuted run proves nothing.
     pub failed: usize,
 }
 
@@ -905,40 +883,25 @@ pub(crate) fn classify(golden: &Observation, observed: &Observation) -> Outcome 
 /// Runs the workload on a clone of the pristine simulator, with `fault`
 /// injected if given. Cloning shares the pristine simulator's fanout and
 /// levelization maps, so the per-fault setup cost is a few memcpys
-/// instead of a connectivity rebuild.
-pub(crate) fn observe<W: Workload + ?Sized>(
-    pristine: &Simulator<'_>,
-    workload: &W,
-    fault: Option<Fault>,
-    cycle_budget: u64,
-) -> Result<Observation, NetlistError> {
-    let mut sim = pristine.clone();
-    if let Some(fault) = fault {
-        sim.inject(FaultMap::single(pristine.netlist(), fault));
-    }
-    workload.run(sim, cycle_budget)
-}
-
-/// Like [`observe`], but dispatches SEU runs with an available warm
-/// context through [`Workload::run_warm`]. Stuck-at faults are active
+/// instead of a connectivity rebuild. An SEU with a context in `warm`
+/// resumes through [`Workload::run_warm`]; stuck-at faults are active
 /// from cycle 0, so they always take the cold path.
-pub(crate) fn observe_warm<W: Workload + ?Sized>(
+pub(crate) fn observe<W: Workload + ?Sized>(
     pristine: &Simulator<'_>,
     workload: &W,
     fault: Option<Fault>,
     cycle_budget: u64,
     warm: Option<&WarmContexts>,
 ) -> Result<Observation, NetlistError> {
-    if let (Some(fault), Some(contexts)) = (fault, warm) {
-        if let FaultKind::Seu { cycle } = fault.kind {
-            if let Some(context) = contexts.get(&cycle) {
-                let mut sim = pristine.clone();
-                sim.inject(FaultMap::single(pristine.netlist(), fault));
-                return workload.run_warm(sim, cycle, context, cycle_budget);
-            }
+    let mut sim = pristine.clone();
+    let Some(fault) = fault else { return workload.run(sim, cycle_budget) };
+    sim.inject(FaultMap::single(pristine.netlist(), fault));
+    if let (FaultKind::Seu { cycle }, Some(contexts)) = (fault.kind, warm) {
+        if let Some(context) = contexts.get(&cycle) {
+            return workload.run_warm(sim, cycle, context, cycle_budget);
         }
     }
-    observe(pristine, workload, fault, cycle_budget)
+    workload.run(sim, cycle_budget)
 }
 
 /// Builds the campaign's warm-start context map when enabled: one golden
@@ -1064,14 +1027,13 @@ pub fn lane_utilization(fault_count: usize) -> f64 {
 }
 
 /// Runs and validates the fault-free reference: it must complete within
-/// the budget and must not fire the detect port. Shared by the plain and
-/// the supervised ([`crate::resilience`]) campaign runners.
+/// the budget and must not fire the detect port.
 pub(crate) fn campaign_golden<W: Workload + ?Sized>(
     pristine: &Simulator<'_>,
     workload: &W,
-    config: &CampaignConfig,
+    cycle_budget: u64,
 ) -> Result<Observation, CampaignError> {
-    let golden = observe(pristine, workload, None, config.cycle_budget)?;
+    let golden = observe(pristine, workload, None, cycle_budget, None)?;
     if !golden.completed {
         return Err(CampaignError::GoldenIncomplete { cycles: golden.cycles });
     }
@@ -1082,7 +1044,7 @@ pub(crate) fn campaign_golden<W: Workload + ?Sized>(
 }
 
 /// Enumerates the campaign's fault list in the fixed deterministic order
-/// every runner (and every checkpoint resume) relies on: the configured
+/// the executor (and every checkpoint resume) relies on: the configured
 /// stuck-at space first, then the seeded SEU samples. Depends only on
 /// `(netlist, config, golden_cycles)`.
 pub(crate) fn enumerate_faults(
@@ -1124,31 +1086,36 @@ pub(crate) fn enumerate_faults(
 }
 
 /// Classifies one fault against the golden observation on a clone of the
-/// pristine simulator — the unit of work both campaign runners schedule.
-pub(crate) fn run_one<W: Workload + ?Sized>(
+/// pristine simulator — the campaign executor's per-fault unit of work
+/// on the scalar engine.
+///
+/// A fault that breaks simulation outright (an oscillation) wedges the
+/// circuit and classifies as [`Outcome::Hang`]. A watchdog trip is a
+/// hang too, but it comes back as the
+/// [`NetlistError::DeadlineExceeded`] error so the executor can count
+/// timeouts before folding them into that classification.
+pub(crate) fn run_fault<W: Workload + ?Sized>(
     pristine: &Simulator<'_>,
     workload: &W,
     golden: &Observation,
     fault: Fault,
     budget: u64,
     warm: Option<&WarmContexts>,
-) -> FaultRun {
-    let outcome = match observe_warm(pristine, workload, Some(fault), budget, warm) {
-        Ok(observed) => classify(golden, &observed),
-        // A fault that breaks simulation outright (oscillation, or a
-        // watchdog deadline) wedges the circuit: a hang.
-        Err(_) => Outcome::Hang,
-    };
-    let cell = pristine.netlist().gates()[fault.gate.index()].kind;
-    FaultRun { fault, cell, outcome }
+) -> Result<Outcome, NetlistError> {
+    match observe(pristine, workload, Some(fault), budget, warm) {
+        Ok(observed) => Ok(classify(golden, &observed)),
+        Err(e @ NetlistError::DeadlineExceeded { .. }) => Err(e),
+        Err(_) => Ok(Outcome::Hang),
+    }
 }
 
-/// Classifies a single fault against the workload's golden run.
+/// Classifies a single fault against the workload's golden run, exactly
+/// as a campaign over that fault would.
 ///
 /// # Errors
 ///
-/// Returns a [`CampaignError`] if the fault-free run fails or does not
-/// complete.
+/// Returns a [`CampaignError`] if the fault-free run fails, does not
+/// complete, or fires the detect port.
 pub fn classify_fault<W: Workload + ?Sized>(
     netlist: &Netlist,
     workload: &W,
@@ -1156,17 +1123,9 @@ pub fn classify_fault<W: Workload + ?Sized>(
     cycle_budget: u64,
 ) -> Result<Outcome, CampaignError> {
     let pristine = Simulator::new(netlist);
-    let golden = observe(&pristine, workload, None, cycle_budget)?;
-    if !golden.completed {
-        return Err(CampaignError::GoldenIncomplete { cycles: golden.cycles });
-    }
+    let golden = campaign_golden(&pristine, workload, cycle_budget)?;
     let budget = faulty_budget(cycle_budget, golden.cycles);
-    Ok(match observe(&pristine, workload, Some(fault), budget) {
-        Ok(observed) => classify(&golden, &observed),
-        // A fault that breaks simulation outright (oscillation) wedges
-        // the circuit: a hang.
-        Err(_) => Outcome::Hang,
-    })
+    Ok(run_fault(&pristine, workload, &golden, fault, budget, None).unwrap_or(Outcome::Hang))
 }
 
 /// Worker-thread count for fault campaigns, read from the
@@ -1208,14 +1167,12 @@ pub fn run_campaign<W: Workload + ?Sized>(
 
 /// [`run_campaign`] with an explicit worker-thread count.
 ///
-/// Determinism argument: the fault list is enumerated once, in a fixed
-/// order, on the calling thread. Results go into a slot vector indexed by
-/// that enumeration order; workers claim contiguous chunks of disjoint
-/// `(faults, slots)` pairs from a shared queue and never write outside
-/// their chunk. Each worker clones the same pristine simulator, and every
-/// classification depends only on (netlist, workload, fault, budget) —
-/// nothing on scheduling — so the merged result is identical for any
-/// `threads`, including 1 (which skips thread spawning entirely).
+/// This is the campaign executor ([`crate::resilience`]) with the
+/// default [`ResilienceConfig`]: no
+/// checkpoint, no watchdog beyond the campaign's own budget, and no
+/// cancellation. A fault run that keeps panicking degrades to
+/// [`Outcome::Failed`] after its retries instead of unwinding into the
+/// caller.
 ///
 /// # Errors
 ///
@@ -1227,196 +1184,13 @@ pub fn run_campaign_with_threads<W: Workload + ?Sized>(
     config: &CampaignConfig,
     threads: usize,
 ) -> Result<CampaignResult, CampaignError> {
-    let pristine = Simulator::new(netlist);
-    let golden = campaign_golden(&pristine, workload, config)?;
-    let faults = enumerate_faults(netlist, config, golden.cycles);
-    let budget = faulty_budget(config.cycle_budget, golden.cycles);
-    let warm = warm_start_contexts(&pristine, workload, config, &faults);
-    let _span = obs::span!("netlist.fault.campaign");
-    let started = std::time::Instant::now();
-    let total_faults = faults.len();
-    let workers = threads.max(1).min(total_faults.max(1));
-    // The compiled bitsliced prototype, cloned per word. Sharing the
-    // pristine simulator's armed cycle limit keeps watchdog trips at
-    // identical absolute cycles on both engines.
-    let bits = bitsliced_enabled(config).then(|| {
-        let mut proto = BitSimulator::new(netlist);
-        proto.set_cycle_limit(pristine.cycle_limit());
-        // Campaign words only read lane observations, never per-gate
-        // toggle attribution.
-        proto.set_toggle_tracking(false);
-        proto
-    });
-    let words_run = AtomicUsize::new(0);
-    let lanes_filled = AtomicUsize::new(0);
-
-    let classify_one = |sim: &Simulator<'_>, fault: Fault| -> FaultRun {
-        run_one(sim, workload, &golden, fault, budget, warm.as_ref())
-    };
-    let done = AtomicUsize::new(0);
-    let progress = |done: &AtomicUsize| {
-        let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(256) {
-            obs::trace_event(|| {
-                format!(
-                    "{{\"type\":\"campaign_progress\",\"design\":{},\
-                     \"done\":{n},\"total\":{total_faults}}}",
-                    obs::json::escape(netlist.name()),
-                )
-            });
-        }
-    };
-    // Fills one contiguous chunk of (faults, slots): word-by-word on
-    // the bitsliced engine with per-fault scalar fallback on any word
-    // the engine declines, or fault-by-fault on the scalar engine.
-    let run_chunk = |worker_sim: &Simulator<'_>,
-                     chunk_faults: &[Fault],
-                     chunk_slots: &mut [Option<FaultRun>]| {
-        let Some(proto) = &bits else {
-            for (slot, &fault) in chunk_slots.iter_mut().zip(chunk_faults) {
-                *slot = Some(classify_one(worker_sim, fault));
-                progress(&done);
-            }
-            return;
-        };
-        let mut at = 0usize;
-        while at < chunk_faults.len() {
-            let take = (chunk_faults.len() - at).min(BitSimulator::LANES - 1);
-            let word_faults = &chunk_faults[at..at + take];
-            let word_slots = &mut chunk_slots[at..at + take];
-            let word =
-                run_word(worker_sim, proto, workload, &golden, word_faults, budget, warm.as_ref());
-            match word {
-                Some(lanes) => {
-                    words_run.fetch_add(1, Ordering::Relaxed);
-                    lanes_filled.fetch_add(take + 1, Ordering::Relaxed);
-                    for ((slot, &fault), lane) in word_slots.iter_mut().zip(word_faults).zip(lanes)
-                    {
-                        let cell = netlist.gates()[fault.gate.index()].kind;
-                        let outcome = match lane {
-                            LaneOutcome::Done(observed) => classify(&golden, &observed),
-                            // A watchdog trip or an oscillating lane
-                            // wedges the circuit: a hang, exactly as the
-                            // scalar errors classify.
-                            LaneOutcome::TimedOut | LaneOutcome::Wedged => Outcome::Hang,
-                        };
-                        *slot = Some(FaultRun { fault, cell, outcome });
-                        progress(&done);
-                    }
-                }
-                None => {
-                    for (slot, &fault) in word_slots.iter_mut().zip(word_faults) {
-                        *slot = Some(classify_one(worker_sim, fault));
-                        progress(&done);
-                    }
-                }
-            }
-            at += take;
-        }
-    };
-
-    // Result slots preassigned by fault index: workers fill disjoint
-    // chunks, so the merge order is the enumeration order regardless of
-    // which worker ran which chunk when.
-    let mut slots: Vec<Option<FaultRun>> = vec![None; total_faults];
-    if workers <= 1 {
-        run_chunk(&pristine, &faults, &mut slots);
-    } else {
-        // Contiguous chunks, several per worker so a chunk of hangs does
-        // not serialize the campaign behind one thread. Bitsliced chunks
-        // hold whole 63-fault words, so parallelism never splinters a
-        // word across workers (underfilled words would burn the 64-lane
-        // speedup faster than idle threads ever could).
-        let chunk = if bits.is_some() {
-            let lane_faults = BitSimulator::LANES - 1;
-            total_faults.div_ceil(lane_faults).div_ceil(workers * 4).max(1) * lane_faults
-        } else {
-            total_faults.div_ceil(workers * 4).max(1)
-        };
-        let mut work: Vec<(&[Fault], &mut [Option<FaultRun>])> = Vec::new();
-        let mut rest_faults: &[Fault] = &faults;
-        let mut rest_slots: &mut [Option<FaultRun>] = &mut slots;
-        while !rest_slots.is_empty() {
-            let take = chunk.min(rest_slots.len());
-            let (head_faults, tail_faults) = rest_faults.split_at(take);
-            let (head_slots, tail_slots) = std::mem::take(&mut rest_slots).split_at_mut(take);
-            work.push((head_faults, head_slots));
-            rest_faults = tail_faults;
-            rest_slots = tail_slots;
-        }
-        let queue = Mutex::new(work);
-        std::thread::scope(|scope| {
-            let queue = &queue;
-            let pristine = &pristine;
-            let run_chunk = &run_chunk;
-            for worker in 0..workers {
-                scope.spawn(move || {
-                    // Each worker thread is one lane in the chrome
-                    // trace; per-chunk spans make the claim/run cadence
-                    // visible as a timeline.
-                    obs::chrome::name_lane(&format!("campaign-worker-{worker}"));
-                    let worker_sim = pristine.clone();
-                    loop {
-                        let claimed =
-                            queue.lock().unwrap_or_else(std::sync::PoisonError::into_inner).pop();
-                        let Some((chunk_faults, chunk_slots)) = claimed else { break };
-                        let _chunk_span = obs::span!("netlist.fault.chunk");
-                        run_chunk(&worker_sim, chunk_faults, chunk_slots);
-                    }
-                });
-            }
-        });
-    }
-    let runs: Vec<FaultRun> = slots
-        .into_iter()
-        .map(|slot| slot.unwrap_or_else(|| unreachable!("every fault slot filled")))
-        .collect();
-
-    if obs::enabled() {
-        let mut counts = OutcomeCounts::default();
-        for run in &runs {
-            counts.add(run.outcome);
-        }
-        let reg = obs::global();
-        reg.add("netlist.fault.workers", workers as u64);
-        reg.add("netlist.fault.runs", runs.len() as u64);
-        if let Some(contexts) = &warm {
-            let warm_slots = faults
-                .iter()
-                .filter(
-                    |f| matches!(f.kind, FaultKind::Seu { cycle } if contexts.contains_key(&cycle)),
-                )
-                .count();
-            reg.add("netlist.fault.warm_slots", warm_slots as u64);
-        }
-        reg.add("netlist.fault.masked", counts.masked as u64);
-        reg.add("netlist.fault.detected", counts.detected as u64);
-        reg.add("netlist.fault.hang", counts.hang as u64);
-        reg.add("netlist.fault.sdc", counts.sdc as u64);
-        let words = words_run.load(Ordering::Relaxed);
-        if words > 0 {
-            let lanes = lanes_filled.load(Ordering::Relaxed);
-            reg.add("netlist.fault.bitsliced.words", words as u64);
-            reg.add("netlist.fault.bitsliced.lanes", lanes as u64);
-            reg.gauge(
-                "netlist.fault.lane_utilization",
-                lanes as f64 / (words * BitSimulator::LANES) as f64,
-            );
-        }
-        let secs = started.elapsed().as_secs_f64();
-        if secs > 0.0 && !runs.is_empty() {
-            reg.gauge("netlist.fault.runs_per_sec", runs.len() as f64 / secs);
-            if words > 0 {
-                reg.gauge("netlist.fault.bitsliced_runs_per_sec", runs.len() as f64 / secs);
-            }
+    match execute_campaign(netlist, workload, config, &ResilienceConfig::default(), threads, None)?
+    {
+        SupervisedRun::Complete(run) => Ok(run.result),
+        SupervisedRun::Aborted { .. } => {
+            unreachable!("a campaign without abort hook or cancel flag runs to completion")
         }
     }
-    Ok(CampaignResult {
-        design: netlist.name().to_string(),
-        gate_count: netlist.gate_count(),
-        golden,
-        runs,
-    })
 }
 
 /// Bridges a campaign to the PDK yield model: per-gate
@@ -1659,7 +1433,7 @@ mod tests {
     #[test]
     fn warm_contexts_resume_the_exact_golden_state() {
         // Direct unit check of the PatternWorkload warm path: for every
-        // SEU on every cycle, observe_warm == observe.
+        // SEU on every cycle, the warm observation equals the cold one.
         let nl = accumulator();
         let workload = PatternWorkload { cycles: 10, seed: 3 };
         let pristine = Simulator::new(&nl);
@@ -1672,9 +1446,9 @@ mod tests {
         for &gi in &sequential {
             for cycle in 0..10 {
                 let fault = Fault { gate: GateId(gi), kind: FaultKind::Seu { cycle } };
-                let cold = observe(&pristine, &workload, Some(fault), 1000).unwrap();
+                let cold = observe(&pristine, &workload, Some(fault), 1000, None).unwrap();
                 let warm =
-                    observe_warm(&pristine, &workload, Some(fault), 1000, Some(&contexts)).unwrap();
+                    observe(&pristine, &workload, Some(fault), 1000, Some(&contexts)).unwrap();
                 assert_eq!(warm, cold, "g{gi} seu@{cycle}");
             }
         }
@@ -1687,11 +1461,11 @@ mod tests {
         let pristine = Simulator::new(&nl);
         let dff = nl.gates().iter().position(|g| g.is_sequential()).unwrap() as u32;
         let fault = Fault { gate: GateId(dff), kind: FaultKind::Seu { cycle: 3 } };
-        let cold = observe(&pristine, &workload, Some(fault), 1000).unwrap();
+        let cold = observe(&pristine, &workload, Some(fault), 1000, None).unwrap();
         // Garbage context bytes: run_warm must not trust them.
         let mut contexts = WarmContexts::new();
         contexts.insert(3, vec![0xAB; 7]);
-        let warm = observe_warm(&pristine, &workload, Some(fault), 1000, Some(&contexts)).unwrap();
+        let warm = observe(&pristine, &workload, Some(fault), 1000, Some(&contexts)).unwrap();
         assert_eq!(warm, cold, "a malformed context degrades to the cold path");
     }
 
@@ -1726,6 +1500,51 @@ mod tests {
         let nl = divider();
         let err = run_campaign(&nl, &NeverCompletes, &CampaignConfig::default()).unwrap_err();
         assert!(matches!(err, CampaignError::GoldenIncomplete { .. }));
+    }
+
+    #[test]
+    fn a_detect_firing_golden_run_is_refused_everywhere() {
+        /// Runs the pattern stimulus but reports the detect port as
+        /// fired, as a miswired TMR error output would.
+        struct AlwaysDetected(PatternWorkload);
+        impl Workload for AlwaysDetected {
+            fn run(
+                &self,
+                sim: Simulator<'_>,
+                cycle_budget: u64,
+            ) -> Result<Observation, NetlistError> {
+                Ok(Observation { detected: true, ..self.0.run(sim, cycle_budget)? })
+            }
+        }
+        let nl = divider();
+        let workload = AlwaysDetected(PatternWorkload { cycles: 6, seed: 1 });
+        let fault = Fault { gate: GateId(0), kind: FaultKind::StuckAt0 };
+        let single = classify_fault(&nl, &workload, fault, 10_000);
+        assert_eq!(single, Err(CampaignError::GoldenDetected));
+        let campaign = run_campaign(&nl, &workload, &CampaignConfig::default());
+        assert_eq!(campaign.unwrap_err(), CampaignError::GoldenDetected);
+    }
+
+    #[test]
+    fn a_panicking_fault_run_degrades_to_failed_instead_of_unwinding() {
+        /// Panics on every faulty run, runs the fault-free golden run.
+        struct PanicsWhenFaulted(PatternWorkload);
+        impl Workload for PanicsWhenFaulted {
+            fn run(
+                &self,
+                sim: Simulator<'_>,
+                cycle_budget: u64,
+            ) -> Result<Observation, NetlistError> {
+                assert!(!sim.has_faults(), "poisoned fault run");
+                self.0.run(sim, cycle_budget)
+            }
+        }
+        let nl = divider();
+        let workload = PanicsWhenFaulted(PatternWorkload { cycles: 6, seed: 1 });
+        let config = CampaignConfig { bitsliced: false, ..CampaignConfig::default() };
+        let result = run_campaign_with_threads(&nl, &workload, &config, 1).unwrap();
+        assert_eq!(result.counts().failed, result.runs.len());
+        assert!(result.to_csv().contains(",failed\n"));
     }
 
     #[test]

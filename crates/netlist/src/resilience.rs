@@ -1,12 +1,14 @@
-//! Supervised fault-campaign execution: checkpoint/resume, watchdog
-//! deadlines, and panic isolation for long-running campaigns.
+//! The fault-campaign executor: one deterministic scheduler with
+//! checkpoint/resume, watchdog deadlines, panic isolation, and
+//! cancellation as policies of a [`ResilienceConfig`].
 //!
-//! [`crate::fault::run_campaign`] is the fast path: it assumes every
-//! fault run completes, never panics, and the process survives to the
-//! end. Real reproduction sweeps run for minutes across many worker
-//! threads, and production fault-injection infrastructure must survive
-//! its own faults. [`run_supervised_campaign`] wraps the same
-//! deterministic scheduler in a resilience layer:
+//! Every campaign in the workspace runs here. [`run_supervised_campaign`]
+//! exposes the policies; [`crate::fault::run_campaign`] is the same
+//! executor with [`ResilienceConfig::default`] (no checkpoint, no extra
+//! watchdog, no cancellation). The fault list is enumerated once, in a
+//! fixed order; workers claim contiguous chunks of whole 63-fault
+//! bitsliced words from a shared queue and fill result slots keyed by
+//! fault index, so the result is byte-identical for every thread count.
 //!
 //! - **Checkpoint/resume** — with [`ResilienceConfig::checkpoint_dir`]
 //!   set (see [`ResilienceConfig::from_env`] and the `PRINTED_CKPT_DIR`
@@ -20,28 +22,31 @@
 //! - **Watchdog deadlines** — [`ResilienceConfig::watchdog_cycles`] arms
 //!   the per-run simulator cycle limit
 //!   ([`crate::sim::Simulator::set_cycle_limit`]); a wedged workload
-//!   trips [`crate::NetlistError::DeadlineExceeded`], surfaces as a
-//!   typed [`JobError::TimedOut`], and is classified as
-//!   [`Outcome::Hang`] — deterministically, since the deadline counts
-//!   cycles, not wall-clock.
-//! - **Panic isolation + retry** — each fault run executes under
-//!   `catch_unwind` with bounded retries and a deterministic
-//!   decorrelated backoff (seeded from the campaign seed, the slot
-//!   index, and the attempt number). A slot that keeps panicking
-//!   degrades to a recorded [`Outcome::Failed`] instead of aborting the
-//!   campaign.
+//!   trips [`crate::NetlistError::DeadlineExceeded`], is counted as a
+//!   timeout, and is classified as [`Outcome::Hang`] — deterministically,
+//!   since the deadline counts cycles, not wall-clock.
+//! - **Panic isolation + retry** — each scalar fault run executes under
+//!   [`printed_obs::retry::retry_panics`] with bounded retries and a
+//!   deterministic decorrelated backoff (seeded from the campaign seed,
+//!   the slot index, and the attempt number). A slot that keeps
+//!   panicking degrades to a recorded [`Outcome::Failed`] instead of
+//!   aborting the campaign. A bitsliced word that panics falls back to
+//!   these supervised scalar runs.
 //! - **Warm-starts** — when [`crate::fault::CampaignConfig::warm_start`]
-//!   (or `PRINTED_WARM_START`) is set, the supervised runner reuses the
-//!   same snapshot-based SEU warm-start path as the plain campaign:
-//!   golden state is captured once per injection cycle and faulty runs
-//!   resume from it instead of replaying the prologue. Slots stay
-//!   byte-identical to the cold path, so warm and cold runs share
-//!   checkpoints (warm-starting is deliberately excluded from the
-//!   campaign fingerprint).
+//!   (or `PRINTED_WARM_START`) is set, golden state is captured once per
+//!   SEU injection cycle and faulty runs resume from it instead of
+//!   replaying the prologue. Slots stay byte-identical to the cold path,
+//!   so warm and cold runs share checkpoints (warm-starting is
+//!   deliberately excluded from the campaign fingerprint).
 //!
-//! Everything is instrumented through `printed-obs`: counters
-//! `resilience.retries`, `resilience.timeouts`, `resilience.resumed_slots`,
-//! `resilience.failed`, and `resilience.warm_slots`.
+//! Everything is instrumented through `printed-obs`: the
+//! `netlist.fault.campaign` span, one `campaign-worker-<n>` trace lane
+//! per worker with `netlist.fault.chunk` spans, `campaign_progress`
+//! trace events, the `netlist.fault.{workers,runs,masked,detected,hang,
+//! sdc,warm_slots,bitsliced.words,bitsliced.lanes}` counters, the
+//! `netlist.fault.lane_utilization` and `netlist.fault.runs_per_sec`
+//! gauges, and the `resilience.{retries,timeouts,resumed_slots,failed}`
+//! counters.
 //!
 //! # Checkpoint format
 //!
@@ -64,14 +69,16 @@
 //! the campaign identity (or fails its CRC) is discarded wholesale — a
 //! stale checkpoint can never leak slots into a different campaign. The
 //! initial header+resumed-slots rewrite goes through a temp-file+rename
-//! ([`atomic_write`]-style), so a kill mid-rewrite can never destroy the
-//! previous checkpoint generation. On successful completion the
+//! ([`printed_obs::file::replace`]), so a kill mid-rewrite can never
+//! destroy the previous checkpoint generation. On successful completion the
 //! checkpoint file is deleted.
 
+use crate::bitsim::BitSimulator;
 use crate::fault::{
-    campaign_golden, campaign_threads, enumerate_faults, faulty_budget, CampaignConfig,
-    CampaignError, CampaignResult, Fault, FaultKind, FaultRun, LaneOutcome, Outcome, WarmContexts,
-    Workload,
+    bitsliced_enabled, campaign_golden, campaign_threads, classify, enumerate_faults,
+    faulty_budget, run_fault, run_word, warm_start_contexts, CampaignConfig, CampaignError,
+    CampaignResult, Fault, FaultKind, FaultRun, LaneOutcome, Observation, Outcome, OutcomeCounts,
+    StuckAtSpace, Workload,
 };
 use crate::ir::Netlist;
 use crate::sim::Simulator;
@@ -81,28 +88,14 @@ use rand::{Rng, SeedableRng};
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Why a supervised job (a campaign, one of its slots, or a pipeline
-/// stage built on this module) failed.
+/// Why a supervised job (a campaign or one of its slots) failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobError {
-    /// The job exceeded its deadline. For simulator jobs the unit is
-    /// clock cycles; stage runners reuse the variant with milliseconds.
-    TimedOut {
-        /// Name of the job that timed out.
-        job: String,
-        /// Budget spent when the watchdog fired.
-        spent: u64,
-        /// The armed limit.
-        limit: u64,
-        /// Unit of `spent`/`limit` (`"cycles"` or `"ms"`).
-        unit: &'static str,
-    },
     /// The job panicked on every allowed attempt.
     Panicked {
         /// Name of the job that panicked.
@@ -135,9 +128,6 @@ pub enum JobError {
 impl fmt::Display for JobError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            JobError::TimedOut { job, spent, limit, unit } => {
-                write!(f, "job {job:?} timed out: {spent} of {limit} {unit}")
-            }
             JobError::Panicked { job, message, attempts } => {
                 write!(f, "job {job:?} panicked after {attempts} attempts: {message}")
             }
@@ -273,26 +263,6 @@ impl SupervisedRun {
 /// One filled result slot: the classified run plus the retries it cost.
 type SlotDone = (FaultRun, u32);
 
-/// FNV-1a 64-bit, the workspace's stock dependency-free hash.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-}
-
 /// The campaign identity fingerprint for (netlist, workload, config) —
 /// the key checkpoints and the print shop's content-addressed quote
 /// cache are bound to.
@@ -315,7 +285,7 @@ pub fn campaign_identity<W: Workload + ?Sized>(
     config: &CampaignConfig,
 ) -> Result<u64, JobError> {
     let pristine = Simulator::new(netlist);
-    let golden = campaign_golden(&pristine, workload, config)?;
+    let golden = campaign_golden(&pristine, workload, config.cycle_budget)?;
     let faults = enumerate_faults(netlist, config, golden.cycles);
     Ok(campaign_fingerprint(netlist, config, &golden, faults.len()))
 }
@@ -328,10 +298,10 @@ pub fn campaign_identity<W: Workload + ?Sized>(
 fn campaign_fingerprint(
     netlist: &Netlist,
     config: &CampaignConfig,
-    golden: &crate::fault::Observation,
+    golden: &Observation,
     total_faults: usize,
 ) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = obs::fnv::Fnv1a::new();
     h.write(netlist.name().as_bytes());
     h.write_u64(netlist.gate_count() as u64);
     h.write_u64(netlist.net_count() as u64);
@@ -344,9 +314,9 @@ fn campaign_fingerprint(
     }
     h.write_u64(config.cycle_budget);
     let (space_tag, space_n) = match config.stuck_at {
-        crate::fault::StuckAtSpace::Exhaustive => (0u64, 0u64),
-        crate::fault::StuckAtSpace::Sampled(n) => (1, n as u64),
-        crate::fault::StuckAtSpace::None => (2, 0),
+        StuckAtSpace::Exhaustive => (0u64, 0u64),
+        StuckAtSpace::Sampled(n) => (1, n as u64),
+        StuckAtSpace::None => (2, 0),
     };
     h.write_u64(space_tag);
     h.write_u64(space_n);
@@ -358,7 +328,7 @@ fn campaign_fingerprint(
         h.write_u64(word);
     }
     h.write_u64(total_faults as u64);
-    h.0
+    h.finish()
 }
 
 /// The checkpoint path for a campaign: `<design>-<fingerprint>.ckpt.jsonl`
@@ -399,9 +369,9 @@ fn slot_line(index: usize, done: &SlotDone) -> String {
 /// digits + newline, 16 bytes total.
 const CRC_FOOTER_LEN: usize = 16;
 
-/// Writes `payload` + a CRC-32 footer to `path` atomically: the bytes
-/// go to a `.tmp` sibling first, are flushed, and are renamed over
-/// `path` — a kill at any point leaves either the old file or the new
+/// Writes `payload` + a CRC-32 footer to `path` atomically through
+/// [`printed_obs::file::replace`], syncing the temp file before the
+/// rename — a kill at any point leaves either the old file or the new
 /// one, never a torn mix. [`read_checked`] verifies the footer on the
 /// way back in.
 ///
@@ -410,16 +380,11 @@ const CRC_FOOTER_LEN: usize = 16;
 /// Returns [`JobError::Io`] if the temp file cannot be written or the
 /// rename fails.
 pub fn atomic_write(path: &Path, payload: &[u8]) -> Result<(), JobError> {
-    let io_err =
-        |e: std::io::Error| JobError::Io { path: path.to_path_buf(), message: e.to_string() };
-    let tmp = path.with_extension("tmp");
     let mut bytes = Vec::with_capacity(payload.len() + CRC_FOOTER_LEN);
     bytes.extend_from_slice(payload);
     bytes.extend_from_slice(format!("#crc32:{:08x}\n", obs::crc::crc32(payload)).as_bytes());
-    let mut file = fs::File::create(&tmp).map_err(io_err)?;
-    file.write_all(&bytes).and_then(|()| file.sync_all()).map_err(io_err)?;
-    drop(file);
-    fs::rename(&tmp, path).map_err(io_err)
+    obs::file::replace(path, &bytes, true)
+        .map_err(|e| JobError::Io { path: path.to_path_buf(), message: e.to_string() })
 }
 
 /// Reads a file written by [`atomic_write`] and verifies its CRC-32
@@ -563,84 +528,6 @@ impl CheckpointSink {
     }
 }
 
-/// Campaign-wide inputs every supervised slot shares: the golden
-/// observation to classify against, the cycle budget, and the
-/// retry/backoff parameters.
-struct SlotParams<'a> {
-    golden: &'a crate::fault::Observation,
-    budget: u64,
-    max_retries: u32,
-    seed: u64,
-    warm: Option<&'a WarmContexts>,
-}
-
-/// Runs one fault slot under supervision: watchdog trips and panics
-/// become typed [`JobError`]s instead of wedging or killing the worker.
-///
-/// The watchdog needs no plumbing here — `pristine` is the worker's
-/// simulator clone with the cycle limit already armed, and every
-/// per-fault clone [`crate::fault::observe_warm`] makes inherits it
-/// (warm restores re-arm the destination's limit, so warm and cold runs
-/// trip the deadline at the same absolute cycle). The resulting
-/// [`crate::NetlistError::DeadlineExceeded`] is surfaced as a typed
-/// [`JobError::TimedOut`] so the scheduler can count timeouts separately
-/// before folding them into the hang classification.
-fn attempt_slot<W: Workload + ?Sized>(
-    pristine: &Simulator<'_>,
-    workload: &W,
-    params: &SlotParams<'_>,
-    fault: Fault,
-    index: usize,
-) -> Result<(FaultRun, u32), JobError> {
-    let SlotParams { golden, budget, max_retries, seed, warm } = *params;
-    let cell = pristine.netlist().gates()[fault.gate.index()].kind;
-    let mut last_message = String::new();
-    for attempt in 0..=max_retries {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            crate::fault::observe_warm(pristine, workload, Some(fault), budget, warm)
-        }));
-        match run {
-            Ok(Ok(observed)) => {
-                let outcome = crate::fault::classify(golden, &observed);
-                return Ok((FaultRun { fault, cell, outcome }, attempt));
-            }
-            Ok(Err(crate::NetlistError::DeadlineExceeded { cycles, limit })) => {
-                return Err(JobError::TimedOut {
-                    job: fault.to_string(),
-                    spent: cycles,
-                    limit,
-                    unit: "cycles",
-                });
-            }
-            // Any other simulation failure (oscillation) wedges the
-            // circuit — the same hang classification run_one applies.
-            Ok(Err(_)) => return Ok((FaultRun { fault, cell, outcome: Outcome::Hang }, attempt)),
-            Err(payload) => {
-                last_message = panic_message(payload.as_ref());
-                if attempt < max_retries {
-                    backoff(seed, index, attempt);
-                }
-            }
-        }
-    }
-    Err(JobError::Panicked {
-        job: fault.to_string(),
-        message: last_message,
-        attempts: max_retries + 1,
-    })
-}
-
-/// Extracts a printable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Deterministic decorrelated backoff before a retry: the delay is drawn
 /// from an RNG seeded by (campaign seed, slot index, attempt), so a
 /// rerun of the same campaign backs off identically — no wall-clock or
@@ -656,8 +543,8 @@ fn backoff(seed: u64, index: usize, attempt: u32) {
     std::thread::sleep(Duration::from_millis(ms));
 }
 
-/// [`crate::fault::run_campaign`] wrapped in the resilience layer, with
-/// the worker count from `PRINTED_SIM_THREADS` (see [`campaign_threads`]).
+/// A fault campaign under the given resilience policies, with the
+/// worker count from `PRINTED_SIM_THREADS` (see [`campaign_threads`]).
 ///
 /// # Errors
 ///
@@ -675,12 +562,11 @@ pub fn run_supervised_campaign<W: Workload + ?Sized>(
 
 /// [`run_supervised_campaign`] with an explicit worker-thread count.
 ///
-/// Determinism: identical to [`crate::fault::run_campaign_with_threads`]
-/// — slots are keyed by the fault enumeration order and workers fill
-/// disjoint chunks — with two extensions that preserve it: checkpoint
-/// resume fills slots with values computed by the same pure function
-/// (so a resumed and an uninterrupted run agree byte-for-byte), and
-/// retry backoff is seeded per (seed, slot, attempt), never from time.
+/// Determinism: slots are keyed by the fault enumeration order and
+/// workers fill disjoint chunks; checkpoint resume fills slots with
+/// values computed by the same pure function (so a resumed and an
+/// uninterrupted run agree byte-for-byte), and retry backoff is seeded
+/// per (seed, slot, attempt), never from time.
 ///
 /// # Errors
 ///
@@ -714,9 +600,22 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
     threads: usize,
     cancel: Option<&AtomicBool>,
 ) -> Result<SupervisedRun, JobError> {
-    let _span = obs::span!("netlist.resilience.campaign");
+    Ok(execute_campaign(netlist, workload, config, resilience, threads, cancel)?)
+}
+
+/// The campaign executor behind every public campaign entry point. The
+/// golden run is its only fallible step.
+pub(crate) fn execute_campaign<W: Workload + ?Sized>(
+    netlist: &Netlist,
+    workload: &W,
+    config: &CampaignConfig,
+    resilience: &ResilienceConfig,
+    threads: usize,
+    cancel: Option<&AtomicBool>,
+) -> Result<SupervisedRun, CampaignError> {
+    let _span = obs::span!("netlist.fault.campaign");
     let mut pristine = Simulator::new(netlist);
-    let golden = campaign_golden(&pristine, workload, config)?;
+    let golden = campaign_golden(&pristine, workload, config.cycle_budget)?;
     let faults = enumerate_faults(netlist, config, golden.cycles);
     let budget = faulty_budget(config.cycle_budget, golden.cycles);
     let total = faults.len();
@@ -725,7 +624,7 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
     // deadline. Warm-starting never enters the checkpoint fingerprint —
     // warm and cold runs of the same campaign share checkpoints because
     // they produce identical slots.
-    let warm = crate::fault::warm_start_contexts(&pristine, workload, config, &faults);
+    let warm = warm_start_contexts(&pristine, workload, config, &faults);
 
     let mut stats = ResilienceStats::default();
     let mut slots: Vec<Option<SlotDone>> = vec![None; total];
@@ -756,10 +655,8 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
                 header.push_str(&slot_line(i, done));
             }
         }
-        let tmp = path.with_extension("tmp");
         let opened = fs::create_dir_all(dir)
-            .and_then(|()| fs::write(&tmp, header.as_bytes()))
-            .and_then(|()| fs::rename(&tmp, &path))
+            .and_then(|()| obs::file::replace(&path, header.as_bytes(), false))
             .and_then(|()| fs::OpenOptions::new().append(true).open(&path));
         match opened {
             Ok(file) => sink.file = Some(file),
@@ -783,12 +680,13 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
     if let Some(limit) = resilience.watchdog_cycles {
         pristine.set_cycle_limit(Some(limit));
     }
-    // The bitsliced prototype is compiled after the watchdog is armed so
-    // word runs trip the same deadline as scalar clones. Word runs that
-    // decline, trip the golden-lane watchdog, or panic fall back to the
-    // supervised scalar path slot by slot.
-    let bits = crate::fault::bitsliced_enabled(config).then(|| {
-        let mut proto = crate::bitsim::BitSimulator::new(netlist);
+    // The bitsliced prototype, cloned per word, is compiled after the
+    // watchdog is armed so word runs trip the same deadline at the same
+    // absolute cycle as scalar clones. Word runs that decline, trip the
+    // golden-lane watchdog, or panic fall back to the supervised scalar
+    // path slot by slot.
+    let bits = bitsliced_enabled(config).then(|| {
+        let mut proto = BitSimulator::new(netlist);
         proto.set_cycle_limit(pristine.cycle_limit());
         // Campaign words only read lane observations, never per-gate
         // toggle attribution.
@@ -800,7 +698,12 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
     let timeouts = AtomicU64::new(0);
     let failed = AtomicUsize::new(0);
     let completed = AtomicUsize::new(0);
+    let words_run = AtomicUsize::new(0);
+    let lanes_filled = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
+    // Without an open checkpoint file the sink ignores every slot, so
+    // workers skip its shared lock instead of contending on it per slot.
+    let checkpointing = sink.file.is_some();
     let sink = Mutex::new(sink);
     // External cancellation folds into the same stop protocol as the
     // abort_after test hook: workers stop claiming, the sink flushes,
@@ -808,33 +711,34 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
     let halted =
         || stop.load(Ordering::Relaxed) || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
 
-    // One slot, supervised: panics retried then degraded, watchdog trips
-    // counted and folded back into the hang classification.
-    let params = SlotParams {
-        golden: &golden,
-        budget,
-        max_retries: resilience.max_retries,
-        seed: config.seed,
-        warm: warm.as_ref(),
-    };
+    // One slot on the scalar engine, supervised: panics retried then
+    // degraded, watchdog trips counted and folded back into the hang
+    // classification.
     let supervise = |worker_sim: &Simulator<'_>, index: usize, fault: Fault| -> SlotDone {
-        match attempt_slot(worker_sim, workload, &params, fault, index) {
-            Ok((run, attempts_used)) => {
-                retries.fetch_add(attempts_used as u64, Ordering::Relaxed);
-                (run, attempts_used)
+        let cell = netlist.gates()[fault.gate.index()].kind;
+        let tried = obs::retry::retry_panics(
+            resilience.max_retries,
+            |attempt| backoff(config.seed, index, attempt),
+            |_| run_fault(worker_sim, workload, &golden, fault, budget, warm.as_ref()),
+        );
+        let (outcome, used) = match tried {
+            Ok((Ok(outcome), used)) => {
+                retries.fetch_add(used as u64, Ordering::Relaxed);
+                (outcome, used)
             }
-            Err(JobError::TimedOut { .. }) => {
+            Ok((Err(_deadline), _)) => {
                 timeouts.fetch_add(1, Ordering::Relaxed);
-                let cell = netlist.gates()[fault.gate.index()].kind;
-                (FaultRun { fault, cell, outcome: Outcome::Hang }, 0)
+                (Outcome::Hang, 0)
             }
-            Err(err) => {
-                // Panicked (or, unreachable here, a checkpoint error):
-                // degrade the slot, keep the campaign alive.
-                if let JobError::Panicked { attempts, .. } = &err {
-                    retries.fetch_add((attempts - 1) as u64, Ordering::Relaxed);
-                }
+            Err(panicked) => {
+                // Degrade the slot, keep the campaign alive.
+                retries.fetch_add(resilience.max_retries as u64, Ordering::Relaxed);
                 failed.fetch_add(1, Ordering::Relaxed);
+                let err = JobError::Panicked {
+                    job: fault.to_string(),
+                    message: panicked.message,
+                    attempts: panicked.attempts,
+                };
                 obs::trace_event(|| {
                     format!(
                         "{{\"type\":\"slot_failed\",\"design\":{},\"slot\":{index},\
@@ -843,14 +747,27 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
                         obs::json::escape(&err.to_string()),
                     )
                 });
-                let cell = netlist.gates()[fault.gate.index()].kind;
-                (FaultRun { fault, cell, outcome: Outcome::Failed }, resilience.max_retries)
+                (Outcome::Failed, resilience.max_retries)
             }
-        }
+        };
+        (FaultRun { fault, cell, outcome }, used)
     };
+    let resumed = stats.resumed_slots;
     let record = |index: usize, done: &SlotDone| {
-        sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(index, done);
+        if checkpointing {
+            sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(index, done);
+        }
         let n = completed.fetch_add(1, Ordering::Relaxed) + 1;
+        if n.is_multiple_of(256) {
+            obs::trace_event(|| {
+                format!(
+                    "{{\"type\":\"campaign_progress\",\"design\":{},\
+                     \"done\":{},\"total\":{total}}}",
+                    obs::json::escape(netlist.name()),
+                    n + resumed,
+                )
+            });
+        }
         if let Some(limit) = resilience.abort_after {
             if n >= limit {
                 stop.store(true, Ordering::Relaxed);
@@ -887,7 +804,7 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
             if halted() {
                 break;
             }
-            let mut take = (pending.len() - at).min(crate::bitsim::BitSimulator::LANES - 1);
+            let mut take = (pending.len() - at).min(BitSimulator::LANES - 1);
             if let Some(limit) = resilience.abort_after {
                 // Cap the word so an abort request lands within a slot
                 // of its limit instead of a whole word past it.
@@ -896,27 +813,30 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
             }
             let window = &pending[at..at + take];
             let word_faults: Vec<Fault> = window.iter().map(|&o| chunk_faults[o]).collect();
-            let word = catch_unwind(AssertUnwindSafe(|| {
-                crate::fault::run_word(
-                    worker_sim,
-                    proto,
-                    workload,
-                    &golden,
-                    &word_faults,
-                    budget,
-                    warm.as_ref(),
-                )
-            }))
-            .unwrap_or(None);
+            let word = obs::retry::retry_panics(
+                0,
+                |_| {},
+                |_| {
+                    run_word(
+                        worker_sim,
+                        proto,
+                        workload,
+                        &golden,
+                        &word_faults,
+                        budget,
+                        warm.as_ref(),
+                    )
+                },
+            );
             match word {
-                Some(lanes) => {
+                Ok((Some(lanes), _)) => {
+                    words_run.fetch_add(1, Ordering::Relaxed);
+                    lanes_filled.fetch_add(take + 1, Ordering::Relaxed);
                     for (&offset, lane) in window.iter().zip(lanes) {
                         let fault = chunk_faults[offset];
                         let cell = netlist.gates()[fault.gate.index()].kind;
                         let outcome = match lane {
-                            LaneOutcome::Done(observed) => {
-                                crate::fault::classify(&golden, &observed)
-                            }
+                            LaneOutcome::Done(observed) => classify(&golden, &observed),
                             LaneOutcome::TimedOut => {
                                 timeouts.fetch_add(1, Ordering::Relaxed);
                                 Outcome::Hang
@@ -930,7 +850,7 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
                         chunk_slots[offset] = Some(done);
                     }
                 }
-                None => {
+                _ => {
                     // Engine declined or panicked mid-word: rerun each
                     // slot on the scalar path with retries intact.
                     for &offset in window {
@@ -948,17 +868,19 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
         }
     };
 
+    let started = Instant::now();
     let workers = threads.max(1).min(total.max(1));
     if workers <= 1 {
-        let worker_sim = pristine.clone();
-        run_chunk(&worker_sim, 0, &faults, &mut slots);
+        run_chunk(&pristine, 0, &faults, &mut slots);
     } else {
-        // The same contiguous-chunk queue as the plain campaign, with
-        // each chunk carrying its global start index for checkpointing.
-        // Bitsliced chunks hold whole words so parallelism never
-        // splinters a word across workers.
+        // Contiguous chunks, several per worker so a chunk of hangs does
+        // not serialize the campaign behind one thread, each carrying its
+        // global start index for checkpointing. Bitsliced chunks hold
+        // whole 63-fault words, so parallelism never splinters a word
+        // across workers (underfilled words would burn the 64-lane
+        // speedup faster than idle threads ever could).
         let chunk = if bits.is_some() {
-            let lane_faults = crate::bitsim::BitSimulator::LANES - 1;
+            let lane_faults = BitSimulator::LANES - 1;
             total.div_ceil(lane_faults).div_ceil(workers * 4).max(1) * lane_faults
         } else {
             total.div_ceil(workers * 4).max(1)
@@ -987,9 +909,10 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
             let run_chunk = &run_chunk;
             for worker in 0..workers {
                 scope.spawn(move || {
-                    // One chrome-trace lane per supervised worker, like
-                    // the plain campaign's workers.
-                    obs::chrome::name_lane(&format!("supervised-worker-{worker}"));
+                    // Each worker thread is one lane in the chrome
+                    // trace; per-chunk spans make the claim/run cadence
+                    // visible as a timeline.
+                    obs::chrome::name_lane(&format!("campaign-worker-{worker}"));
                     let worker_sim = pristine.clone();
                     loop {
                         if halted() {
@@ -1000,7 +923,7 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
                         let Some((chunk_start, chunk_faults, chunk_slots)) = claimed else {
                             break;
                         };
-                        let _chunk_span = obs::span!("resilience.chunk");
+                        let _chunk_span = obs::span!("netlist.fault.chunk");
                         run_chunk(&worker_sim, chunk_start, chunk_faults, chunk_slots);
                     }
                 });
@@ -1014,16 +937,48 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
     stats.timeouts = timeouts.into_inner();
     stats.failed = failed.into_inner();
     stats.checkpoint_degraded = sink.broken;
+    let aborted = halted() && slots.iter().any(Option::is_none);
     if obs::enabled() {
         let reg = obs::global();
         reg.add("resilience.retries", stats.retries);
         reg.add("resilience.timeouts", stats.timeouts);
         reg.add("resilience.resumed_slots", stats.resumed_slots as u64);
         reg.add("resilience.failed", stats.failed as u64);
-        reg.add("resilience.warm_slots", stats.warm_slots as u64);
+        reg.add("netlist.fault.workers", workers as u64);
+        reg.add("netlist.fault.warm_slots", stats.warm_slots as u64);
+        let words = words_run.into_inner();
+        if words > 0 {
+            let lanes = lanes_filled.into_inner();
+            reg.add("netlist.fault.bitsliced.words", words as u64);
+            reg.add("netlist.fault.bitsliced.lanes", lanes as u64);
+            reg.gauge(
+                "netlist.fault.lane_utilization",
+                lanes as f64 / (words * BitSimulator::LANES) as f64,
+            );
+        }
+        // Classification counters describe a finished result, so an
+        // aborted run (resumed later) does not count its slots twice.
+        if !aborted {
+            let mut counts = OutcomeCounts::default();
+            for (run, _) in slots.iter().flatten() {
+                counts.add(run.outcome);
+            }
+            reg.add("netlist.fault.runs", total as u64);
+            reg.add("netlist.fault.masked", counts.masked as u64);
+            reg.add("netlist.fault.detected", counts.detected as u64);
+            reg.add("netlist.fault.hang", counts.hang as u64);
+            reg.add("netlist.fault.sdc", counts.sdc as u64);
+            let secs = started.elapsed().as_secs_f64();
+            if secs > 0.0 && total > 0 {
+                reg.gauge("netlist.fault.runs_per_sec", total as f64 / secs);
+                if words > 0 {
+                    reg.gauge("netlist.fault.bitsliced_runs_per_sec", total as f64 / secs);
+                }
+            }
+        }
     }
 
-    if halted() && slots.iter().any(Option::is_none) {
+    if aborted {
         let done = slots.iter().filter(|s| s.is_some()).count();
         return Ok(SupervisedRun::Aborted { completed: done, total, checkpoint: stats.checkpoint });
     }
@@ -1319,7 +1274,8 @@ mod tests {
         // Fabricate a checkpoint with the right path but a wrong
         // fingerprint inside: it must be discarded, not resumed.
         let golden =
-            crate::fault::campaign_golden(&Simulator::new(&nl), &workload, &config()).unwrap();
+            crate::fault::campaign_golden(&Simulator::new(&nl), &workload, config().cycle_budget)
+                .unwrap();
         let faults = enumerate_faults(&nl, &config(), golden.cycles);
         let fingerprint = campaign_fingerprint(&nl, &config(), &golden, faults.len());
         let path = checkpoint_path(&dir, nl.name(), fingerprint);
@@ -1347,7 +1303,8 @@ mod tests {
         let nl = accumulator();
         let workload = PatternWorkload { cycles: 10, seed: 5 };
         let golden =
-            crate::fault::campaign_golden(&Simulator::new(&nl), &workload, &config()).unwrap();
+            crate::fault::campaign_golden(&Simulator::new(&nl), &workload, config().cycle_budget)
+                .unwrap();
         let faults = enumerate_faults(&nl, &config(), golden.cycles);
         let fingerprint = campaign_fingerprint(&nl, &config(), &golden, faults.len());
         let dir = std::env::temp_dir().join(format!("printed-ckpt-crc-{}", std::process::id()));
@@ -1445,6 +1402,17 @@ mod tests {
     }
 
     #[test]
+    fn campaign_identity_is_pinned_across_releases() {
+        // Checkpoint file names and the print shop's cache keys are
+        // derived from this value; a drift would orphan every
+        // checkpoint and cache entry already on disk.
+        let nl = accumulator();
+        let workload = PatternWorkload { cycles: 10, seed: 5 };
+        let id = campaign_identity(&nl, &workload, &config()).unwrap();
+        assert_eq!(id, 0xd537_a15a_3b72_a7d4, "campaign identity drifted: {id:#018x}");
+    }
+
+    #[test]
     fn external_cancel_aborts_with_a_resumable_checkpoint() {
         let nl = accumulator();
         let workload = PatternWorkload { cycles: 10, seed: 5 };
@@ -1496,7 +1464,8 @@ mod tests {
         let nl = accumulator();
         let workload = PatternWorkload { cycles: 10, seed: 5 };
         let golden =
-            crate::fault::campaign_golden(&Simulator::new(&nl), &workload, &config()).unwrap();
+            crate::fault::campaign_golden(&Simulator::new(&nl), &workload, config().cycle_budget)
+                .unwrap();
         let faults = enumerate_faults(&nl, &config(), golden.cycles);
         let fingerprint = campaign_fingerprint(&nl, &config(), &golden, faults.len());
         let dir = std::env::temp_dir().join(format!("printed-ckpt-trunc-{}", std::process::id()));

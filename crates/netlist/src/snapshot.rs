@@ -463,17 +463,6 @@ pub fn from_hex(text: &str) -> Result<Vec<u8>, SnapshotError> {
     Ok(digits.chunks(2).map(|pair| (pair[0] << 4 | pair[1]) as u8).collect())
 }
 
-/// FNV-1a over `bytes` — the workspace's standard content digest (also
-/// used by campaign checkpoint fingerprints).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 #[allow(clippy::disallowed_methods)]
 mod tests {
@@ -568,11 +557,5 @@ mod tests {
         assert_eq!(from_hex(&to_hex(&bytes)).unwrap(), bytes);
         assert!(from_hex("abc").is_err());
         assert!(from_hex("zz").is_err());
-    }
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

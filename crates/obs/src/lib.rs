@@ -41,6 +41,11 @@
 //! recorded with timestamps on per-thread lanes and [`finish`] writes a
 //! Chrome Trace Event / Perfetto-compatible JSON file to that path.
 //!
+//! The crate is also the dependency-free home of the small primitives
+//! every layer shares: [`crc`] (CRC-32), [`fnv`] (FNV-1a 64), [`mod@file`]
+//! (temp-file + rename writes), and [`retry`] (panic supervision with
+//! bounded retries).
+//!
 //! Naming convention: dotted lower-case paths, `<crate>.<subsystem>.<metric>`
 //! (for example `netlist.sim.gate_evals`, `eval.figure8`). Nested spans
 //! compose their paths: a `span!("figure7")` opened inside
@@ -51,8 +56,11 @@
 
 pub mod chrome;
 pub mod crc;
+pub mod file;
+pub mod fnv;
 pub mod json;
 mod registry;
+pub mod retry;
 
 pub use registry::{Histogram, Registry, SpanStats};
 

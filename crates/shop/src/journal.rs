@@ -63,12 +63,11 @@ impl Journal {
         let pending = Self::replay(&path);
 
         // Compact: only pending accepts survive, atomically.
-        let tmp = path.with_extension("jsonl.tmp");
         let mut text = String::new();
         for job in &pending {
             text.push_str(&accept_line(job.query_key, &job.canonical));
         }
-        fs::write(&tmp, &text).and_then(|()| fs::rename(&tmp, &path)).map_err(|e| {
+        printed_obs::file::replace(&path, text.as_bytes(), false).map_err(|e| {
             ShopError::Internal { message: format!("journal compaction {}: {e}", path.display()) }
         })?;
         let file = OpenOptions::new().append(true).open(&path).map_err(|e| {

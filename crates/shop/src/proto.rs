@@ -16,6 +16,7 @@
 //! name jobs by.
 
 use crate::error::ShopError;
+use printed_obs::fnv::fnv1a;
 use printed_obs::json::{self, Value};
 
 /// Campaign parameters of a query (all optional on the wire).
@@ -257,20 +258,12 @@ impl ShopQuery {
 
     /// FNV-1a 64 of [`ShopQuery::canonical`] — the dedup/journal job id.
     pub fn query_key(&self) -> u64 {
-        fnv64(self.canonical().as_bytes())
+        fnv1a(self.canonical().as_bytes())
     }
 }
 
-/// FNV-1a 64-bit over `bytes` — the workspace's stock dependency-free
-/// hash, matching `printed_netlist::resilience`'s fingerprint arithmetic.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// FNV-1a 64, kept under its old name for external callers.
+pub use printed_obs::fnv::fnv1a as fnv64;
 
 /// A parsed request line.
 #[derive(Debug, Clone, PartialEq)]

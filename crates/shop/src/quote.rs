@@ -14,7 +14,7 @@
 //! a hope.
 
 use crate::error::ShopError;
-use crate::proto::{fnv64, ShopQuery};
+use crate::proto::ShopQuery;
 use printed_core::workload::ProgramWorkload;
 use printed_core::{asm, generate_checked, CoreConfig, CoreSpec, Instruction, NarrowEncoding};
 use printed_memory::Sram;
@@ -23,7 +23,7 @@ use printed_netlist::resilience::{
     campaign_identity, run_supervised_campaign_cancellable, ResilienceConfig, SupervisedRun,
 };
 use printed_netlist::{analysis, opt, tmr, Netlist, TmrOptions};
-use printed_obs::json;
+use printed_obs::{fnv::fnv1a, json};
 use printed_pdk::battery::{Battery, PRINTED_BATTERIES};
 use printed_pdk::Technology;
 use std::path::Path;
@@ -125,7 +125,7 @@ pub fn campaign_config(query: &ShopQuery) -> Option<CampaignConfig> {
 /// Propagates campaign-identity failures (golden run errors) as
 /// [`ShopError::Build`].
 pub fn content_key(query: &ShopQuery, built: &BuiltCore) -> Result<u64, ShopError> {
-    let context = fnv64(query.content_canonical().as_bytes());
+    let context = fnv1a(query.content_canonical().as_bytes());
     let Some(config) = campaign_config(query) else {
         return Ok(context);
     };
@@ -137,7 +137,7 @@ pub fn content_key(query: &ShopQuery, built: &BuiltCore) -> Result<u64, ShopErro
     let mut mixed = [0u8; 16];
     mixed[..8].copy_from_slice(&fingerprint.to_le_bytes());
     mixed[8..].copy_from_slice(&context.to_le_bytes());
-    Ok(fnv64(&mixed))
+    Ok(fnv1a(&mixed))
 }
 
 /// A computed quote plus its campaign bookkeeping.

@@ -40,7 +40,6 @@ use printed_obs as obs;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Receiver;
@@ -564,28 +563,25 @@ fn process_job(shared: &Arc<Shared>, key: u64, query: &ShopQuery, started: Insta
     let cancel = Arc::new(AtomicBool::new(false));
     let deadline = started + Duration::from_millis(shared.config.deadline_ms);
     shared.register_inflight(cancel.clone(), deadline);
-    let mut attempt = 0u32;
-    let result = loop {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            compute_once(shared, key, query, attempt, &cancel, started)
-        }));
-        match run {
-            Ok(r) => break r,
-            Err(payload) => {
-                attempt += 1;
-                if attempt > shared.config.max_retries {
-                    break Err(ShopError::Poisoned {
-                        job: format!("{key:016x}"),
-                        attempts: attempt,
-                        message: panic_text(payload.as_ref()),
-                    });
-                }
-                shared.counters.retries.fetch_add(1, Ordering::Relaxed);
-                // Deterministic exponential backoff: 10, 20, 40 … ms.
-                std::thread::sleep(Duration::from_millis(10u64 << attempt.min(6)));
-            }
-        }
-    };
+    let tried = obs::retry::retry_panics(
+        shared.config.max_retries,
+        |failed| {
+            shared.counters.retries.fetch_add(1, Ordering::Relaxed);
+            // Deterministic exponential backoff: 20, 40, 80 … ms.
+            std::thread::sleep(Duration::from_millis(10u64 << (failed + 1).min(6)));
+        },
+        |attempt| compute_once(shared, key, query, attempt, &cancel, started),
+    );
+    let result = tried.map_or_else(
+        |panicked| {
+            Err(ShopError::Poisoned {
+                job: format!("{key:016x}"),
+                attempts: panicked.attempts,
+                message: panicked.message,
+            })
+        },
+        |(reply, _)| reply,
+    );
     shared.deregister_inflight(&cancel);
     result
 }
@@ -671,15 +667,5 @@ fn watchdog_loop(shared: &Arc<Shared>) {
                 entry.cancel.store(true, Ordering::Relaxed);
             }
         }
-    }
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }

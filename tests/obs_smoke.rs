@@ -1,12 +1,15 @@
 //! Observability smoke test: a tiny fault campaign run with metrics
 //! enabled must leave a coherent global registry whose JSON-lines export
 //! parses — the same invariant ci.sh checks on the example binaries.
+//! The same campaign run through the supervised entry point must
+//! publish the same fault counters.
 
 // Panics are the failure report in test/bench/example code.
 #![allow(clippy::disallowed_methods)]
 use printed_microprocessors::netlist::fault::{
     run_campaign, CampaignConfig, PatternWorkload, StuckAtSpace,
 };
+use printed_microprocessors::netlist::resilience::{run_supervised_campaign, ResilienceConfig};
 use printed_microprocessors::netlist::{words, NetlistBuilder};
 use printed_microprocessors::obs;
 
@@ -66,4 +69,22 @@ fn campaign_metrics_export_as_valid_json_lines() {
     // The human summary renders the same registry without panicking.
     let summary = registry.render_summary();
     assert!(summary.contains("netlist.fault.runs"));
+
+    // The supervised entry point (what reproduce_all and the print shop
+    // run) publishes the same counters for the same campaign.
+    registry.reset();
+    let supervised = run_supervised_campaign(&nl, &workload, &config, &ResilienceConfig::default())
+        .unwrap()
+        .into_complete()
+        .expect("no abort hook");
+    assert_eq!(supervised.result, result);
+    let runs = registry.counter("netlist.fault.runs").expect("supervised runs counter");
+    assert_eq!(runs, result.runs.len() as u64);
+    let classified: u64 = ["masked", "detected", "hang", "sdc"]
+        .iter()
+        .filter_map(|k| registry.counter(&format!("netlist.fault.{k}")))
+        .sum();
+    assert_eq!(classified, runs, "supervised classification counters tile the run set");
+    assert!(registry.counter("netlist.fault.workers").is_some(), "worker count published");
+    assert!(registry.span_stats("netlist.fault.campaign").is_some(), "campaign span recorded");
 }
